@@ -7,20 +7,22 @@ For input ``x`` the flow through sum-edge ``(n, c)`` is
 with ``F_root(x) = 1``: the fraction of the root's probability mass that
 passes through the edge.  Cumulative flows over a dataset rank edges for
 REASON's adaptive pruning; the decrease in average log-likelihood caused
-by deleting an edge is bounded by its mean flow.
+by deleting an edge is bounded by its mean flow.  EM (``pc/learn.py``)
+reads its expected counts from the same passes.
 
 Implementation: the circuit is flattened once into a dense plan (node
 order, child index arrays, edge slots) and every query evaluates the
-whole evidence batch as numpy rows — one bottom-up value pass and one
-top-down flow pass for an entire calibration dataset, instead of three
-interpreted traversals per input.  All element-wise operations apply the
-same IEEE-754 double operations in the same order as the reference
-scalar recurrences, so flows are bit-identical to per-input evaluation.
+whole evidence batch as numpy rows — one bottom-up value pass (leaf rows
+are table lookups over one evidence column per variable) and one
+top-down flow pass for an entire dataset.  Element-wise operations apply
+the same IEEE-754 double operations in the same order as the scalar
+recurrences, and dataset totals are ordered sums (``_ordered_totals``),
+so results are bit-identical to per-input evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,21 +73,35 @@ def _plan_for(circuit: Circuit) -> _FlowPlan:
     return plan
 
 
-def _evaluate_batch(plan: _FlowPlan, dataset: Sequence[Evidence]) -> np.ndarray:
+def _leaf_index(dataset: Sequence[Evidence], variable: int, k: int) -> np.ndarray:
+    """Per-input slot in a k-state leaf's table ``[p_0..p_{k-1}, 0, Σp]``:
+    the value if in ``[0, k)``, else ``k``; ``k + 1`` if missing (LeafNode.prob)."""
+    column = [evidence.get(variable) for evidence in dataset]
+    return np.array(
+        [k + 1 if v is None else v if 0 <= v < k else k for v in column], dtype=np.intp
+    )
+
+
+def _evaluate_batch(
+    plan: _FlowPlan, dataset: Sequence[Evidence], leaf_index: Optional[dict] = None
+) -> np.ndarray:
     """Bottom-up values, one row per node and one column per evidence.
 
     Element-wise accumulation order matches the scalar evaluator, so
     each column is bit-identical to ``_evaluate_all`` on that evidence.
+    ``leaf_index`` memoizes :func:`_leaf_index` per ``(variable, k)``.
     """
     m = len(dataset)
+    leaf_index = {} if leaf_index is None else leaf_index
     values = np.empty((len(plan.order), m), dtype=float)
     for kind, dense, node, children, _ in plan.entries:
         if kind == _LEAF:
-            row = values[dense]
-            variable = node.variable
-            prob = node.prob
-            for j, evidence in enumerate(dataset):
-                row[j] = prob(evidence.get(variable))
+            probs = node.probabilities
+            key = (node.variable, len(probs))
+            if key not in leaf_index:
+                leaf_index[key] = _leaf_index(dataset, *key)
+            table = np.concatenate((probs, (0.0, float(probs.sum()))))
+            values[dense] = table[leaf_index[key]]
         elif kind == _PRODUCT:
             row = values[children[0]].copy()
             for child in children[1:]:
@@ -106,9 +122,7 @@ def _flow_batch(
     num_nodes, m = values.shape
     flows = np.zeros((num_nodes, m))
     flows[plan.root_index] = 1.0
-    edge_values = (
-        np.zeros((len(plan.edge_keys), m)) if want_edges else np.zeros((0, m))
-    )
+    edge_values = np.zeros((len(plan.edge_keys) if want_edges else 0, m))
     for kind, dense, node, children, slot in reversed(plan.entries):
         if kind == _LEAF:
             continue
@@ -140,6 +154,14 @@ def _flow_batch(
             if want_edges:
                 edge_values[slot + offset] = contribution
     return flows, edge_values
+
+
+def _ordered_totals(rows: np.ndarray) -> np.ndarray:
+    """Per-row totals summed left to right, as a per-input loop would
+    (``np.sum``'s pairwise order would change the bits)."""
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0])
+    return np.add.accumulate(rows, axis=1)[:, -1]
 
 
 def node_flows(circuit: Circuit, evidence: Evidence) -> Dict[int, float]:
@@ -175,15 +197,8 @@ def dataset_edge_flows(
     plan = _plan_for(circuit)
     values = _evaluate_batch(plan, data)
     _, edge_values = _flow_batch(plan, values, want_edges=True)
-    # Accumulate one input at a time so each total is the same ordered
-    # float sum the per-input loop produced.
-    totals = np.zeros(len(plan.edge_keys))
-    for j in range(len(data)):
-        totals += edge_values[:, j]
-    return (
-        {key: float(totals[k]) for k, key in enumerate(plan.edge_keys)},
-        len(data),
-    )
+    totals = _ordered_totals(edge_values)
+    return {key: float(total) for key, total in zip(plan.edge_keys, totals)}, len(data)
 
 
 def flow_pruning_bound(cumulative_flow: float, dataset_size: int) -> float:

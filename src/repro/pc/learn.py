@@ -3,26 +3,24 @@
 EM via circuit flows: expected edge usage over the data gives the
 sufficient statistics for sum weights and leaf distributions in closed
 form — the same flow quantity REASON's pruning stage ranks edges by, so
-learning and pruning share one machinery.
+learning and pruning share one machinery.  An EM step is one batched
+value pass and one batched flow pass over the whole dataset
+(``pc/flows.py``).  Every count is an ordered left-to-right sum over the
+dataset, never a pairwise one: that is the contract that keeps trained
+weights bit-identical to the per-example recurrence.
 """
 
 from __future__ import annotations
 
+import math
 import random as _random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pc.circuit import (
-    Circuit,
-    CircuitNode,
-    LeafNode,
-    ProductNode,
-    SumNode,
-    bernoulli_leaf,
-)
-from repro.pc.flows import node_flows
-from repro.pc.inference import Evidence, _evaluate_all, log_likelihood
+from repro.pc.circuit import Circuit, CircuitNode, ProductNode, SumNode, bernoulli_leaf
+from repro.pc.flows import _LEAF, _SUM, _evaluate_batch, _flow_batch, _ordered_totals, _plan_for
+from repro.pc.inference import Evidence, sample
 
 
 def em_step(circuit: Circuit, dataset: Sequence[Evidence], smoothing: float = 0.1) -> Circuit:
@@ -30,41 +28,27 @@ def em_step(circuit: Circuit, dataset: Sequence[Evidence], smoothing: float = 0.
 
     Expected counts come from top-down flows; ``smoothing`` is a
     Laplace-style pseudo-count that keeps probabilities strictly
-    positive.
+    positive.  Every count is computed before any weight is written.
     """
-    sum_counts: Dict[int, np.ndarray] = {}
-    leaf_counts: Dict[int, np.ndarray] = {}
-    nodes = circuit.topological_order()
-    for node in nodes:
-        if isinstance(node, SumNode):
-            sum_counts[node.node_id] = np.zeros(len(node.children))
-        elif isinstance(node, LeafNode):
-            leaf_counts[node.node_id] = np.zeros(len(node.probabilities))
-
-    for evidence in dataset:
-        values = _evaluate_all(circuit, evidence)
-        flows = node_flows(circuit, evidence)
-        for node in nodes:
-            if isinstance(node, SumNode):
-                parent_value = values[node.node_id]
-                if parent_value <= 0:
-                    continue
-                flow = flows[node.node_id]
-                for idx, (child, weight) in enumerate(zip(node.children, node.weights)):
-                    share = weight * values[child.node_id] / parent_value
-                    sum_counts[node.node_id][idx] += share * flow
-            elif isinstance(node, LeafNode):
-                value = evidence.get(node.variable)
-                if value is not None:
-                    leaf_counts[node.node_id][value] += flows[node.node_id]
-
-    for node in nodes:
-        if isinstance(node, SumNode):
-            counts = sum_counts[node.node_id] + smoothing
-            node.weights = counts / counts.sum()
-        elif isinstance(node, LeafNode):
-            counts = leaf_counts[node.node_id] + smoothing
-            node.probabilities = counts / counts.sum()
+    plan = _plan_for(circuit)
+    leaf_index: Dict[Tuple[int, int], np.ndarray] = {}
+    values = _evaluate_batch(plan, dataset, leaf_index)
+    flows, edge_values = _flow_batch(plan, values, want_edges=True)
+    edge_totals = _ordered_totals(edge_values)
+    counts = []  # (node, attribute, totals)
+    for kind, dense, node, children, slot in plan.entries:
+        if kind == _SUM:
+            counts.append((node, "weights", edge_totals[slot : slot + len(children)]))
+        elif kind == _LEAF:
+            k = len(node.probabilities)
+            index = leaf_index[(node.variable, k)]
+            if (index == k).any():
+                raise ValueError(f"evidence for variable {node.variable} lies outside [0, {k})")
+            per_value = np.where(index == np.arange(k)[:, None], flows[dense], 0.0)
+            counts.append((node, "probabilities", _ordered_totals(per_value)))
+    for node, attribute, total in counts:
+        smoothed = total + smoothing
+        setattr(node, attribute, smoothed / smoothed.sum())
     return circuit
 
 
@@ -77,9 +61,11 @@ def fit_em(
 ) -> Tuple[Circuit, List[float]]:
     """Run EM to convergence; returns the circuit and the LL trajectory."""
     history: List[float] = []
+    plan = _plan_for(circuit)
     for _ in range(iterations):
         em_step(circuit, dataset, smoothing)
-        total = sum(log_likelihood(circuit, evidence) for evidence in dataset)
+        roots = _evaluate_batch(plan, dataset)[plan.root_index].tolist()
+        total = sum(math.log(value) if value > 0 else float("-inf") for value in roots)
         history.append(total / max(len(dataset), 1))
         if len(history) >= 2 and abs(history[-1] - history[-2]) < tolerance:
             break
@@ -157,7 +143,5 @@ def sample_dataset(
     circuit: Circuit, size: int, seed: Optional[int] = None
 ) -> List[Evidence]:
     """Draw a dataset of full assignments from the circuit."""
-    from repro.pc.inference import sample
-
     rng = _random.Random(seed)
     return [sample(circuit, rng) for _ in range(size)]

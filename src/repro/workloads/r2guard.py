@@ -10,6 +10,7 @@ experiment for this workload.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.device import KernelClass, KernelProfile
@@ -76,7 +77,9 @@ class R2GuardWorkload(NeuroSymbolicWorkload):
             raise ValueError(f"unknown task {task!r}")
         noise = 0.10 if task == "TwinSafety" else 0.06
         size = 500 if scale == "large" else 240
-        train = generate_safety_dataset(self.num_categories, size, noise, seed=hash((task, "train")) & 0xFFFF)
+        # crc32, not hash(): str hashes change with PYTHONHASHSEED.
+        train_seed = zlib.crc32(f"{task}/train".encode()) & 0xFFFF
+        train = generate_safety_dataset(self.num_categories, size, noise, seed=train_seed)
         test = generate_safety_dataset(self.num_categories, 80, noise, seed=seed + 7)
         return TaskInstance(task, scale, (train, test), ground_truth=test.labels, seed=seed)
 

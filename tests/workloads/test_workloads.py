@@ -1,10 +1,14 @@
 """Tests for the six neuro-symbolic workloads and their datasets."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.pc.circuit import Circuit
@@ -180,6 +184,23 @@ class TestWorkloadQuality:
             instance = workload.generate_instance("XSTest", seed=seed)
             values.append(workload.solve(instance).metadata["auprc"])
         assert np.mean(values) > 0.6
+
+    def test_r2guard_training_set_independent_of_hash_seed(self):
+        script = (
+            "from repro.workloads import R2GuardWorkload\n"
+            "train, _ = R2GuardWorkload().generate_instance('XSTest').payload\n"
+            "print(train.features, train.labels)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
 
     def test_gelato_constraint_always_satisfied_when_feasible(self):
         workload = GeLaToWorkload()
